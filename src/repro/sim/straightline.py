@@ -1026,31 +1026,28 @@ class _SampledExecutor(_Executor):
             raise StraightlineUnsupported(
                 "controller has neither per-node nor global form"
             )
-        self.ctrls = (
-            [make() for _ in range(self.n)] if make is not None else None
-        )
         self.gctrl = make_global() if make_global is not None else None
-        #: bound per-node hooks, hoisted out of the per-poll hot loop:
-        #: ``step`` scatters setpoints directly; under a global
-        #: reduction the per-node controllers are summarizers instead,
-        #: their ``carry`` feeding the reduction's ``decide``.
+        #: bound per-node ``step`` hooks, hoisted out of the per-poll
+        #: hot loop.  Every daemon is created at t=0 on a parked CPU,
+        #: so each seed observation reads zero.
         self._ctrl_steps = None
-        self._ctrl_carries = None
-        if self.ctrls is not None:
+        if self.gctrl is None:
+            if observes == "power":
+                raise StraightlineUnsupported(
+                    "per-node power controllers have no zero seed"
+                )
+            ctrls = [make(0.0, 0.0) for _ in range(self.n)]
             try:
-                if self.gctrl is None:
-                    self._ctrl_steps = [c.step for c in self.ctrls]
-                else:
-                    self._ctrl_carries = [c.carry for c in self.ctrls]
+                self._ctrl_steps = [c.step for c in ctrls]
             except AttributeError as exc:
                 raise StraightlineUnsupported(
                     f"controller misses a required hook: {exc}"
                 ) from exc
-            for c in self.ctrls:
+            for c in ctrls:
                 bind = getattr(c, "bind", None)
                 if bind is not None:
                     bind(opoints, power_params)
-        if self.gctrl is not None:
+        else:
             bind = getattr(self.gctrl, "bind", None)
             if bind is not None:
                 bind(opoints, power_params, self.n)
@@ -1191,9 +1188,8 @@ class _SampledExecutor(_Executor):
            the lazy segment-commit sum (:meth:`_cycles_at`).
         2. the controller's transitions: a per-node ``step`` applies
            its setpoints immediately; under a global reduction the
-           samples are gathered instead (through the summarizers'
-           ``carry`` when present) and ``decide``'s setpoints are
-           scattered after every node observed — both in node order,
+           samples are gathered instead and ``decide`` applies its
+           setpoints after every node observed — both in node order,
            exactly the engine's daemon/coordinator callback order.
         3. ``scan`` skips past any GEARs this poll appended: they sit
            exactly at ``t`` with the busy cursor already there —
@@ -1210,7 +1206,6 @@ class _SampledExecutor(_Executor):
         """
         nodes = self.nodes
         steps = self._ctrl_steps
-        carries = self._ctrl_carries
         gctrl = self.gctrl
         max_index = self.max_index
         observes = self.observes
@@ -1285,8 +1280,6 @@ class _SampledExecutor(_Executor):
                 node.busy_t = t
                 sample = acc if observes == "busy" else self._power_at(node, t)
             if gctrl is not None:
-                if carries is not None:
-                    sample = carries[n_idx](t, sample, node.index, max_index)
                 samples.append(sample)
                 continue
             for target in steps[n_idx](t, sample, node.index, max_index):
@@ -1295,13 +1288,15 @@ class _SampledExecutor(_Executor):
                 self._set_speed_at_tick(n_idx, t, target)
                 node.scan = len(node.events)
         if gctrl is not None:
-            indices = [nd.index for nd in nodes]
-            for n_idx, target in gctrl.decide(t, samples, indices):
+
+            def apply(n_idx: int, target: int) -> bool:
                 node = nodes[n_idx]
-                if target == node.index:
-                    continue  # set_speed_index no-op: no stall, no event
-                self._set_speed_at_tick(n_idx, t, target)
-                node.scan = len(node.events)
+                if target != node.index:  # else set_speed_index's no-op
+                    self._set_speed_at_tick(n_idx, t, target)
+                    node.scan = len(node.events)
+                return True  # no faults here: every setpoint applies
+
+            gctrl.decide(t, samples, [nd.index for nd in nodes], apply)
         if self._tick_touch:
             self._ticks.append(t)
         self.reduction_ticks += 1
@@ -1714,8 +1709,8 @@ def run_straightline(
         # Most daemon strategies perform no setup-time speed calls:
         # every node starts at the cluster default (the fastest point)
         # and the first poll lands one interval in.  A controller with
-        # a ``start_index`` hook (the power-cap pre-shed) replicates
-        # its strategy's uniform setup call instead: same state as the
+        # a ``start_index`` hook (the power-cap pre-shed) makes one
+        # uniform setup call instead: same state as the
         # gear-plan path's t=0 speed call — one pending transition
         # stall, setup transitions excluded from the count, finalize
         # integrating from the shed point.
@@ -1740,6 +1735,11 @@ def run_straightline(
         t_end = ex.run()
         energies, hists = ex.finalize(t_end)
         transitions = ex.transitions
+        # Only now has the run completed: a collision raised mid-run
+        # (callers fall back to the engine) publishes nothing.
+        finish = getattr(ex.gctrl, "finish", None)
+        if finish is not None:
+            finish()
         if stats is not None:
             stats["reduction_ticks"] = ex.reduction_ticks
     else:

@@ -9,8 +9,9 @@ from repro.core.strategies import CpuspeedConfig, CpuspeedDaemonStrategy
 
 
 def rule(config: CpuspeedConfig):
-    strategy = CpuspeedDaemonStrategy(config)
-    return lambda current, usage: strategy._next_index(current, 4, usage)
+    """The daemon's threshold rule, from its (only) controller."""
+    controller = CpuspeedDaemonStrategy(config).controller().make(0.0, 0.0)
+    return lambda current, usage: controller.next_index(current, 4, usage)
 
 
 @given(

@@ -31,7 +31,8 @@ class TestCpuspeedAlgorithm:
         )
 
     def next_index(self, current, usage):
-        return self.strategy._next_index(current, 4, usage)
+        controller = self.strategy.controller().make(0.0, 0.0)
+        return controller.next_index(current, 4, usage)
 
     def test_below_minimum_jumps_to_slowest(self):
         assert self.next_index(3, 10.0) == 0

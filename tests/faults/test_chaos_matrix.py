@@ -13,6 +13,8 @@ import pytest
 
 from repro.core import run_workload
 from repro.core.strategies import (
+    BetaConfig,
+    BetaDaemonStrategy,
     CpuspeedConfig,
     CpuspeedDaemonStrategy,
     ExternalStrategy,
@@ -62,6 +64,8 @@ STRATEGIES = {
         PowerCapConfig(cap_w=160.0, interval_s=0.05)
     ),
     "predictive": lambda: PredictiveDaemonStrategy(),
+    # polled densely enough to act within FT.T's half-second run
+    "beta": lambda: BetaDaemonStrategy(BetaConfig(interval_s=0.05)),
 }
 
 

@@ -132,6 +132,23 @@ def test_powercap_observable_state_parity() -> None:
     assert fast_strat.max_observed_power_w() == ref_strat.max_observed_power_w()
 
 
+def test_powercap_samples_only_from_completed_run() -> None:
+    # The tier raises "rank event collides with poll tick" after some
+    # ticks of this run, and auto falls back to the engine: the aborted
+    # attempt's samples must not reach power_samples next to the
+    # engine's own.
+    wl = CpuBound(nprocs=1, seconds=1.0)
+    config = PowerCapConfig(cap_w=75.0, interval_s=0.25)
+    with pytest.raises(StraightlineUnsupported, match="collides with poll tick"):
+        run_workload(wl, PowerCapStrategy(config), engine="straightline")
+    auto_strat, ref_strat = PowerCapStrategy(config), PowerCapStrategy(config)
+    auto = run_workload(wl, auto_strat)
+    ref = run_workload(wl, ref_strat, engine="event")
+    assert_identical(auto, ref)
+    assert auto_strat.power_samples == ref_strat.power_samples
+    assert auto_strat.mean_observed_power_w() == ref_strat.mean_observed_power_w()
+
+
 def test_powercap_presheds_from_t0() -> None:
     # A tight cap forces the setup-time pre-shed: the tier must start
     # nodes below the top gear (start_index) exactly like setup() does.
@@ -144,7 +161,7 @@ def test_powercap_presheds_from_t0() -> None:
 # protocol unit tests: reduction ordering and state carry
 # ----------------------------------------------------------------------
 class _GlobalProbe(Strategy):
-    """Synthetic coordinator recording what the executor feeds it."""
+    """Synthetic coordinator recording what its executor feeds it."""
 
     name = "global-probe"
 
@@ -161,14 +178,24 @@ class _GlobalProbe(Strategy):
     def bind(self, opoints, power_params, nprocs: int) -> None:
         self.bound = (opoints, power_params, nprocs)
 
-    def decide(self, now, samples, indices):
+    def decide(self, now, samples, indices, apply) -> None:
         self.calls.append((now, list(samples), list(indices)))
-        return self._emit(len(self.calls), indices)
+        for node, target in self._emit(len(self.calls), indices):
+            assert apply(node, target)
+
+
+def run_probe_both(strategy_factory):
+    """Run a synthetic controller strategy on both executors; each
+    returned pair is (measurement, strategy)."""
+    fast_strat, ref_strat = strategy_factory(), strategy_factory()
+    fast = run_workload(_workload("EP"), fast_strat, engine="straightline")
+    ref = run_workload(_workload("EP"), ref_strat, engine="event")
+    assert_identical(fast, ref)
+    return (fast, fast_strat), (ref, ref_strat)
 
 
 def test_global_reduction_sees_node_ordered_samples() -> None:
-    probe = _GlobalProbe()
-    run_workload(_workload("EP"), probe, engine="straightline")
+    (_, probe), (_, ref_probe) = run_probe_both(_GlobalProbe)
     assert probe.calls, "the reduction never ran"
     opoints, _power, nprocs = probe.bound
     assert nprocs == 4
@@ -181,6 +208,9 @@ def test_global_reduction_sees_node_ordered_samples() -> None:
     # ticks are the controller's own interval, strictly increasing
     nows = [c[0] for c in probe.calls]
     assert nows == sorted(nows)
+    # the engine's daemon runner feeds the reduction the very same gathers
+    assert probe.calls == ref_probe.calls
+    assert ref_probe.bound[2] == nprocs
 
 
 def test_global_reduction_setpoints_apply_in_emitted_order() -> None:
@@ -191,8 +221,7 @@ def test_global_reduction_setpoints_apply_in_emitted_order() -> None:
             return [(0, 0), (0, 2), (3, 1)]
         return []
 
-    probe = _GlobalProbe(emit=emit)
-    m = run_workload(_workload("EP"), probe, engine="straightline")
+    (m, probe), _ = run_probe_both(lambda: _GlobalProbe(emit=emit))
     assert len(probe.calls) >= 2
     _, _, indices_after = probe.calls[1]
     assert indices_after[0] == 2  # last emitted setpoint won
@@ -216,65 +245,29 @@ class _CountingController:
         return ()
 
 
+class _Counting(Strategy):
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.instances: list[_CountingController] = []
+
+    def controller(self) -> SampledController:
+        return SampledController(
+            interval_s=0.05,
+            make=lambda now, sample: _CountingController(self.instances),
+            observes="busy",
+        )
+
+
 def test_per_node_state_carries_across_windows() -> None:
-    instances: list[_CountingController] = []
-
-    class Counting(Strategy):
-        name = "counting"
-
-        def controller(self) -> SampledController:
-            return SampledController(
-                interval_s=0.05,
-                make=lambda: _CountingController(instances),
-                observes="busy",
-            )
-
-    m = run_workload(_workload("EP"), Counting(), engine="straightline")
-    assert len(instances) == 4  # one controller per node, instantiated once
-    assert len({id(c) for c in instances}) == 4
+    (m, strat), (_, ref_strat) = run_probe_both(_Counting)
+    for instances in (strat.instances, ref_strat.instances):
+        assert len(instances) == 4  # one controller per node, made once
+        assert len({id(c) for c in instances}) == 4
+    instances = strat.instances
     assert all(c.ticks == instances[0].ticks for c in instances)
     assert instances[0].ticks >= 3  # enough windows to prove the carry
     assert m.dvs_transitions == 4  # the tick-3 step-down, once per node
-
-
-def test_carry_summaries_feed_the_reduction() -> None:
-    # Both forms together: per-node carry() summarises, decide() sees
-    # the summaries (not the raw samples), in node order.
-    seen: list[list] = []
-
-    class Summarise:
-        def __init__(self, tag: int) -> None:
-            self.tag = tag
-            self.windows = 0
-
-        def carry(self, now, sample, index, max_index):
-            self.windows += 1
-            return (self.tag, self.windows, sample)
-
-    class Reduction:
-        def decide(self, now, samples, indices):
-            seen.append(list(samples))
-            return []
-
-    counter = iter(range(100))
-
-    class Both(Strategy):
-        name = "carry-probe"
-
-        def controller(self) -> SampledController:
-            return SampledController(
-                interval_s=0.1,
-                make=lambda: Summarise(next(counter)),
-                make_global=Reduction,
-                observes="busy",
-            )
-
-    run_workload(_workload("EP"), Both(), engine="straightline")
-    assert seen, "the reduction never ran"
-    tags = [s[0] for s in seen[0]]
-    assert tags == [0, 1, 2, 3]  # node-ordered summarisers
-    for tick, samples in enumerate(seen, start=1):
-        assert [s[1] for s in samples] == [tick] * 4  # state carried
 
 
 def test_controller_without_either_form_rejected() -> None:
@@ -299,6 +292,27 @@ def test_unknown_observation_kind_rejected() -> None:
 
     with pytest.raises(StraightlineUnsupported, match="observation"):
         run_workload(_workload("EP"), Martian(), engine="straightline")
+
+
+def test_per_node_power_controller_declined() -> None:
+    # Its creation-time seed is a live power read, not the zero the
+    # tier can supply: strict raises, auto runs it on the engine.
+    class PowerProbe(Strategy):
+        name = "power-probe"
+
+        def controller(self) -> SampledController:
+            return SampledController(
+                interval_s=0.1,
+                make=lambda now, sample: _CountingController([]),
+                observes="power",
+            )
+
+    with pytest.raises(StraightlineUnsupported, match="zero seed"):
+        run_workload(_workload("EP"), PowerProbe(), engine="straightline")
+    auto = run_workload(_workload("EP"), PowerProbe())
+    ref = run_workload(_workload("EP"), PowerProbe(), engine="event")
+    assert_identical(auto, ref)
+    assert ref.dvs_transitions == 4  # the engine ran the controllers
 
 
 # ----------------------------------------------------------------------
