@@ -129,7 +129,7 @@ def vector_telemetry(workload, points) -> tuple[int, int, dict]:
         actions = _lower_gear_actions(compiled, plan, PENTIUM_M_TABLE)
         start = _start_indices(plan, PENTIUM_M_TABLE, workload.nprocs)
         part, reason = _vector_partition(
-            compiled, lambda r: (start[r], tuple(actions[r]))
+            compiled, lambda r: (start[r], id(actions[r]))
         )
         if part is None:
             fallbacks += 1

@@ -159,17 +159,16 @@ class OptimalPlanStrategy(Strategy):
             return None
         self._validate(workload)
         varies = self._varies()
-        start = tuple(
-            self.table[self.group_of[r]][0] for r in range(workload.nprocs)
-        )
+        firsts = [row[0] for row in self.table]
+        start = tuple(firsts[g] for g in self.group_of)
         rank_begin = []
         for i, phase in enumerate(self.phases):
-            per_rank = tuple(
-                (self.table[self.group_of[r]][i],)
-                if varies[self.group_of[r]]
-                else ()
-                for r in range(workload.nprocs)
-            )
+            # One call tuple per group, shared by all of its ranks.
+            calls = [
+                (row[i],) if varied else ()
+                for row, varied in zip(self.table, varies)
+            ]
+            per_rank = tuple(calls[g] for g in self.group_of)
             if any(per_rank):
                 rank_begin.append((phase, per_rank))
         return GearPlan(

@@ -133,12 +133,17 @@ def _program_lists(compiled: CompiledProgram) -> tuple:
 
 #: compiled program -> {(plan, opoints): lowered actions}.  GearPlan is a
 #: frozen dataclass and tables hash by content, so sweeps that revisit a
-#: plan (e.g. the same gear pair across seeds) lower it once.  Each
-#: per-program dict is LRU-bounded at ``_ACTIONS_CACHE_CAP`` entries:
-#: grids with many one-shot plans (the optimizer's candidate search)
-#: would otherwise grow it without limit.
+#: plan (e.g. the same gear pair across seeds) lower it once.  An entry
+#: holds at most one row list per distinct (body group, plan column) —
+#: G lists for a group-shaped plan, not N — plus the N-slot per-rank
+#: index.
+#: Each per-program dict is LRU-bounded at ``_ACTIONS_CACHE_CAP``
+#: entries, sized to hold one whole optimizer batch (``batch_cap``), so
+#: ``run_batch``'s scalar fallback finds its points' lowerings still
+#: cached; a one-shot candidate stream still cannot grow it without
+#: limit.
 _ACTIONS_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-_ACTIONS_CACHE_CAP = 64
+_ACTIONS_CACHE_CAP = 512
 
 #: process-wide gear-plan lowering counters (runner telemetry: sweeps
 #: snapshot deltas into ``CacheStats.lowering_hits``/``lowering_misses``).
@@ -167,6 +172,15 @@ def _lower_gear_actions(compiled: CompiledProgram, plan, opoints) -> list[list[t
     that marker.  A frequency the table doesn't carry, or a plan that
     doesn't cover every rank, raises :class:`CompileError`; the caller
     falls back and the event engine surfaces the genuine error.
+
+    The work scales with rank groups, not ranks.  Each ``(kind, phase)``
+    hook site resolves once per plan — to a homogeneous call tuple or a
+    per-rank table, matched as :meth:`GearPlan.calls_at` matches — and
+    the ranks of one body group (identical markers) are keyed by their
+    column: the calls they read from each per-rank table the group's
+    markers reach.  The markers are walked once per distinct (group,
+    column), and equal rows are the *same* list object, so callers may
+    key on row identity.  Rows are shared: read them, never mutate.
     """
     per_prog = _ACTIONS_CACHE.get(compiled)
     if per_prog is None:
@@ -177,18 +191,76 @@ def _lower_gear_actions(compiled: CompiledProgram, plan, opoints) -> list[list[t
         _LOWERING_STATS["hits"] += 1
         per_prog[key] = per_prog.pop(key)  # LRU: refresh recency
         return cached
-    exact = {p.frequency_mhz: i for i, p in enumerate(opoints)}
-    per_rank: list[list[tuple]] = []
+
+    def resolve(kind: str, phase: str) -> tuple:
+        """``(per_rank, calls)``: one site's table, first entry wins."""
+        if kind == "init":
+            return bool(plan.init_calls), plan.init_calls
+        rank_table = plan.rank_begin_calls if kind == "begin" else plan.rank_end_calls
+        for name, per_rank in rank_table:
+            if name == phase:
+                return True, per_rank
+        table = plan.begin_calls if kind == "begin" else plan.end_calls
+        for name, calls in table:
+            if name == phase:
+                return False, calls
+        return False, ()
+
+    index = {p.frequency_mhz: i for i, p in enumerate(opoints)}
+
+    def targets(calls) -> tuple:
+        out = []
+        for mhz in calls:
+            idx = index.get(mhz)
+            if idx is None:  # inexact MHz: by_mhz's tolerant scan
+                idx = index[mhz] = opoints.index_of(opoints.by_mhz(mhz))
+            out.append(idx)
+        return tuple(out)
+
+    sites: dict[tuple, tuple] = {}  # (kind, phase) -> resolve(kind, phase)
+    fixed: dict[tuple, tuple] = {}  # homogeneous site -> target indices
+    columns: dict[tuple, list] = {}  # per-rank sites -> column per rank
+    interned: dict[tuple, list] = {}  # row content -> row
+    if compiled.group_of is not None:
+        groups = [m.tolist() for m in compiled.group_members]
+    else:
+        groups = [[r] for r in range(compiled.nprocs)]
+    per_rank: list = [None] * compiled.nprocs
     try:
-        for rank in range(compiled.nprocs):
-            acts: list[tuple] = []
-            for pos, kind, phase in compiled.markers[rank]:
-                for mhz in plan.calls_at(kind, phase, rank):
-                    idx = exact.get(mhz)
-                    if idx is None:  # inexact MHz: by_mhz's tolerant scan
-                        idx = opoints.index_of(opoints.by_mhz(mhz))
-                    acts.append((pos, idx))
-            per_rank.append(acts)
+        for members in groups:
+            markers = compiled.markers[members[0]]
+            reached = dict.fromkeys((kind, phase) for _pos, kind, phase in markers)
+            tabled = []
+            for site in reached:
+                if site not in sites:
+                    sites[site] = resolve(*site)
+                is_table, calls = sites[site]
+                if is_table:
+                    tabled.append(site)
+                elif site not in fixed:
+                    fixed[site] = targets(calls)
+            tabled = tuple(tabled)
+            col_of = columns.get(tabled)
+            if col_of is None:
+                # One column per rank, cut short by the shortest table:
+                # a rank past its end raises here, as calls_at would.
+                col_of = columns[tabled] = (
+                    list(zip(*(sites[s][1] for s in tabled))) if tabled else None
+                )
+            rows: dict[tuple, list] = {}  # column -> row
+            for rank in members:
+                column = col_of[rank] if tabled else ()
+                row = rows.get(column)
+                if row is None:
+                    at = dict(fixed)
+                    at.update(zip(tabled, map(targets, column)))
+                    row = [
+                        (pos, idx)
+                        for pos, kind, phase in markers
+                        for idx in at[kind, phase]
+                    ]
+                    row = rows[column] = interned.setdefault(tuple(row), row)
+                per_rank[rank] = row
     except (KeyError, IndexError, ValueError) as exc:
         raise CompileError(f"gear plan not executable: {exc!r}") from exc
     _LOWERING_STATS["misses"] += 1
@@ -1747,8 +1819,9 @@ def run_straightline(
         start_idx = _start_indices(plan, opoints, workload.nprocs)
         part, fallback_reason = None, "vector_disabled"
         if vector:
+            # Equal rows are one object: key on identity.
             part, fallback_reason = _vector_partition(
-                compiled, lambda r: (start_idx[r], tuple(actions[r]))
+                compiled, lambda r: (start_idx[r], id(actions[r]))
             )
         if stats is not None:
             stats["fallback_reason"] = fallback_reason
@@ -2748,9 +2821,12 @@ def _start_indices(plan, opoints, nprocs: int) -> list[int]:
         if len(plan.start_mhz_per_rank) != nprocs:
             # The scalar path's strategy.setup raises the real error.
             raise StraightlineUnsupported("per-node plan length mismatch")
-        return [
-            opoints.index_of(opoints.by_mhz(m)) for m in plan.start_mhz_per_rank
-        ]
+        # One by_mhz scan per distinct frequency, not per rank.
+        index = {
+            m: opoints.index_of(opoints.by_mhz(m))
+            for m in set(plan.start_mhz_per_rank)
+        }
+        return [index[m] for m in plan.start_mhz_per_rank]
     if plan.start_mhz is not None:
         return [opoints.index_of(opoints.by_mhz(plan.start_mhz))] * nprocs
     return [opoints.max_index] * nprocs
@@ -3051,8 +3127,14 @@ def run_batch(
         return []
     compiled = compile_workload(workload, opoints.fastest.frequency_hz)
 
+    # Points batch together when every rank's actions fire at the same
+    # positions.  Equal lowered rows are one object, so each distinct
+    # row's position tuple is interned to a small id once, and a point's
+    # shape signature is its per-rank id tuple.
     groups: dict[tuple, list[int]] = {}
     prepared: dict[int, tuple] = {}
+    shape_ids: dict[tuple, int] = {}  # position tuple -> shape id
+    row_shape: dict[int, int] = {}  # id(row) -> shape id; rows live in prepared
     for i, (strat, _seed) in enumerate(points):
         plan = strat.gear_plan(workload)
         if plan is None:
@@ -3062,8 +3144,15 @@ def run_batch(
             )
         acts = _lower_gear_actions(compiled, plan, opoints)
         start = _start_indices(plan, opoints, workload.nprocs)
-        sig = tuple(tuple(pos for pos, _t in rank_acts) for rank_acts in acts)
-        groups.setdefault(sig, []).append(i)
+        sig = []
+        for row in acts:
+            shape = row_shape.get(id(row))
+            if shape is None:
+                shape = row_shape[id(row)] = shape_ids.setdefault(
+                    tuple(pos for pos, _t in row), len(shape_ids)
+                )
+            sig.append(shape)
+        groups.setdefault(tuple(sig), []).append(i)
         prepared[i] = (start, acts)
 
     cost = workload.cost_model()
@@ -3115,12 +3204,13 @@ def run_batch(
         lowered actions across all points.  Per-group results broadcast
         to member nodes exactly as the scalar grouped path.
         """
+        # Per rank: its start index and its row's identity at every point
+        # (within one lowering equal rows are one object, so identity
+        # stands for content).
+        starts = list(zip(*(prepared[i][0] for i in idxs)))
+        rows = list(zip(*(map(id, prepared[i][1]) for i in idxs)))
         part, reason = _vector_partition(
-            compiled,
-            lambda r: (
-                tuple(prepared[i][0][r] for i in idxs),
-                tuple(tuple(prepared[i][1][r]) for i in idxs),
-            ),
+            compiled, lambda r: (starts[r], rows[r])
         )
         if part is None:
             _note_reason(reason)
